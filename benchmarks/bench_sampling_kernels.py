@@ -1,27 +1,31 @@
-"""Vectorized frontier-sampling kernels vs the scalar reference backend.
+"""Vectorized frontier-sampling kernels vs the per-vertex reference oracles.
 
-Four claims of the sampling-kernels PR, measured on the canonical 2-hop
+Four claims about the sampling kernels, measured on the canonical 2-hop
 workload (taobao-small-sim at scale 0.3, fan-outs 10x5, 64-seed batches):
 
 * **Batched expansion wins.** Every neighborhood sampler
   (uniform/weighted/topk/importance/full) runs the same multi-hop
-  expansion on the ``batched`` CSR kernels and on the scalar ``reference``
-  backend; min-of-repeats wall-clock throughput is reported per sampler.
-  The acceptance bar is >= 3x on the uniform sampler (the hot path of the
-  GraphSAGE workload).
+  expansion on its CSR kernels and through the per-vertex oracle of
+  ``tests/oracles.py``; min-of-repeats wall-clock throughput is reported per
+  sampler. The acceptance bar is >= 3x on the uniform sampler (the hot path
+  of the GraphSAGE workload).
 * **Determinism survives.** Same seed, same batched output — including
   straight after a dynamic-graph CSR refresh (``SnapshotProvider.advance``
-  bumps the provider version and the sampler rebuilds its snapshot).
-* **The backends agree.** Draw frequencies of the stochastic samplers are
-  chi-square tested batched-vs-reference over the heaviest frontier
-  vertices; the deterministic samplers (topk/full) must match exactly.
+  bumps the provider version and the provider rebuilds its snapshot).
+* **Kernels and oracles agree.** Draw frequencies of the stochastic
+  samplers are chi-square tested batched-vs-reference over the heaviest
+  frontier vertices; the deterministic samplers (topk/full) must match
+  exactly.
 * **Grouped alias construction is exact.** The vectorized grouped Vose
   build must imply per-slot draw probabilities equal to the normalized
   weights (the distribution per-list ``AliasTable``s sample), and its
   one-shot construction is timed against building per-list tables in a
   Python loop.
 
-Run ``python benchmarks/bench_sampling_kernels.py [--smoke] [--json]``.
+Run from the repository root with the root on the import path (the oracles
+live in ``tests/``)::
+
+    PYTHONPATH=src:benchmarks:. python benchmarks/bench_sampling_kernels.py [--smoke] [--json]
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from repro.sampling import (
 from repro.utils.alias import AliasTable, GroupedAliasTable
 from repro.utils.rng import make_rng
 from repro.utils.stats import chi_square_homogeneity
+from tests.oracles import Reference
 
 from _common import emit, parse_bench_args
 
@@ -52,23 +57,27 @@ SEED = 7
 STEPS = 24
 SMOKE_STEPS = 6
 MIN_UNIFORM_SPEEDUP = 3.0
-#: Equivalence p-value floor: both backends draw the same distribution, so
+#: Equivalence p-value floor: kernel and oracle draw the same distribution, so
 #: under H0 p is uniform — 1e-4 gives a 0.01% false-alarm rate per sampler.
 MIN_P_VALUE = 1e-4
 
 _GRAPH = make_dataset("taobao-small-sim", scale=0.3, seed=0)
 
 
-def _samplers(backend: str) -> "dict[str, object]":
+def _samplers(impl: str) -> "dict[str, object]":
+    """Fresh samplers; ``impl="reference"`` wraps each in its oracle."""
     provider = GraphProvider(_GRAPH)
     degrees = _GRAPH.out_degrees()
-    return {
-        "uniform": UniformNeighborSampler(provider, backend=backend),
-        "weighted": WeightedNeighborSampler(provider, backend=backend),
-        "topk": TopKNeighborSampler(provider, backend=backend),
-        "importance": ImportanceNeighborSampler(provider, degrees, backend=backend),
-        "full": FullNeighborSampler(provider, backend=backend),
+    samplers = {
+        "uniform": UniformNeighborSampler(provider),
+        "weighted": WeightedNeighborSampler(provider),
+        "topk": TopKNeighborSampler(provider),
+        "importance": ImportanceNeighborSampler(provider, degrees),
+        "full": FullNeighborSampler(provider),
     }
+    if impl == "reference":
+        return {name: Reference(s) for name, s in samplers.items()}
+    return samplers
 
 
 def _batches(steps: int) -> "list[np.ndarray]":
@@ -93,7 +102,7 @@ def _time_expansion(sampler, batches: "list[np.ndarray]", repeats: int) -> float
 
 
 def _context_rows(steps: int) -> int:
-    """Context rows one pass produces (identical across backends/samplers)."""
+    """Context rows one pass produces (identical across samplers)."""
     per_batch = BATCH_SIZE * (1 + HOP_NUMS[0] + HOP_NUMS[0] * HOP_NUMS[1])
     return steps * per_batch
 
@@ -109,7 +118,7 @@ def _determinism(sampler_factory) -> "tuple[bool, bool]":
 
     def expand_after_refresh():
         provider = dyn.provider(0)
-        sampler = UniformNeighborSampler(provider, backend="batched")
+        sampler = UniformNeighborSampler(provider)
         seeds = np.arange(0, 64, dtype=np.int64)
         sampler.sample(seeds, HOP_NUMS, make_rng(SEED))  # builds the t=0 CSR
         provider.advance(1)  # version bump -> snapshot rebuild on next draw
@@ -125,9 +134,9 @@ def _equivalence_pvalue(name: str, draws: int) -> float:
     degrees = _GRAPH.out_degrees()
     parents = np.argsort(degrees)[-16:].astype(np.int64)
     counts = {}
-    for offset, backend in enumerate(("batched", "reference")):
-        sampler = _samplers(backend)[name]
-        # Distinct seeds: the backends must agree as *distributions*, not
+    for offset, impl in enumerate(("batched", "reference")):
+        sampler = _samplers(impl)[name]
+        # Distinct seeds: the two must agree as *distributions*, not
         # because they happen to consume the same RNG stream.
         rng = make_rng(SEED + 1 + offset)
         acc = np.zeros((parents.size, _GRAPH.n_vertices), dtype=np.int64)
@@ -135,12 +144,12 @@ def _equivalence_pvalue(name: str, draws: int) -> float:
             children, _ = sampler.sample_children(parents, HOP_NUMS[0], rng)
             for row, kids in enumerate(children):
                 acc[row] += np.bincount(kids, minlength=_GRAPH.n_vertices)
-        counts[backend] = acc.ravel()
+        counts[impl] = acc.ravel()
     _, p = chi_square_homogeneity(counts["batched"], counts["reference"])
     return float(p)
 
 
-def _deterministic_backends_match(name: str) -> bool:
+def _deterministic_match(name: str) -> bool:
     """topk/full: batched output must equal the reference bit-for-bit."""
     batch = _batches(1)[0]
     rng = make_rng(SEED)
@@ -184,7 +193,7 @@ def _run(smoke: bool = False) -> ExperimentReport:
     draws = 60 if smoke else 400
     report = ExperimentReport(
         "sampling_kernels",
-        "Batched CSR sampling kernels vs scalar reference "
+        "Batched CSR sampling kernels vs per-vertex reference oracles "
         f"({steps} batches of {BATCH_SIZE} seeds, fan-outs {HOP_NUMS}, "
         f"{_GRAPH.n_vertices} vertices)",
     )
@@ -219,10 +228,10 @@ def _run(smoke: bool = False) -> ExperimentReport:
         for name in ("uniform", "weighted", "importance")
     }
     exact = {
-        name: _deterministic_backends_match(name) for name in ("topk", "full")
+        name: _deterministic_match(name) for name in ("topk", "full")
     }
     report.add(
-        "backend equivalence",
+        "kernel vs oracle equivalence",
         {
             **{f"chisq_p_{k}": round(v, 4) for k, v in pvalues.items()},
             "topk_exact": exact["topk"],
@@ -271,9 +280,9 @@ def _assert_acceptance(report: ExperimentReport) -> None:
         "batched kernels lost determinism after a dynamic CSR refresh"
     )
     for name, p in meta["pvalues"].items():
-        assert p >= MIN_P_VALUE, f"{name} backend equivalence rejected (p={p:.2e})"
+        assert p >= MIN_P_VALUE, f"{name} oracle equivalence rejected (p={p:.2e})"
     assert meta["topk_exact"] and meta["full_exact"], (
-        "deterministic samplers diverged between backends"
+        "deterministic samplers diverged from their oracles"
     )
     assert meta["alias_max_prob_error"] < 1e-9, (
         "grouped alias probabilities drifted from the normalized weights"

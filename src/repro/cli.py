@@ -11,7 +11,6 @@ Commands
 ``trace``           traced sampling workload -> Chrome trace JSON (Perfetto)
 ``metrics-report``  sampled workload -> Prometheus text exposition
 ``prefetch-demo``   overlapped sampling: prefetch buffer + makespan model
-``sampling-bench``  A/B the batched vs reference frontier-sampling kernels
 ``serve-bench``     online serving tier under seeded load -> SLO report
 ``workload-report`` mine hot vertices / traffic matrix / cache efficacy
 ``timeseries``      virtual-clock metric series of the sampled workload
@@ -266,16 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="modelled per-context-row compute cost for the makespan model",
     )
 
-    p_sb = sub.add_parser(
-        "sampling-bench",
-        help="time the sampled workload on the batched or reference kernels",
-    )
-    _add_workload_args(p_sb, drop_rate=0.0)
-    p_sb.add_argument(
-        "--backend", choices=["batched", "reference"], default="batched",
-        help="frontier-sampling kernel backend to run (default: batched)",
-    )
-
     p_sv = sub.add_parser(
         "serve-bench",
         help="drive the online serving tier under seeded load, print the "
@@ -485,10 +474,7 @@ def _build_sampled_workload(
     store.attach_runtime(runtime)
     pipeline = SamplingPipeline(
         traverse=VertexTraverseSampler(graph, vertex_type="user"),
-        neighborhood=UniformNeighborSampler(
-            StoreProvider(store, from_part=0),
-            backend=getattr(args, "backend", "auto"),
-        ),
+        neighborhood=UniformNeighborSampler(StoreProvider(store, from_part=0)),
         negative=DegreeBiasedNegativeSampler(graph),
         hop_nums=[10, 5],
         neg_num=5,
@@ -799,47 +785,6 @@ def _cmd_prefetch_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sampling_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.utils.rng import make_rng
-    from repro.utils.tables import format_table
-
-    graph, store, runtime, pipeline = _build_sampled_workload(args)
-    rng = make_rng(args.seed)
-    # Warm-up batch: on the batched backend this pays the one-time CSR
-    # snapshot read (visible on the ledger), on reference it warms caches.
-    pipeline.sample(args.batch_size, rng)
-    snapshot_ms = store.ledger.modelled_millis()
-    rows = 0
-    t0 = time.perf_counter()
-    for _ in range(args.steps):
-        batch = pipeline.sample(args.batch_size, rng)
-        rows += int(sum(layer.size for layer in batch.context.layers))
-    wall_s = time.perf_counter() - t0
-    print(
-        format_table(
-            ["quantity", "value"],
-            [
-                ["graph", graph.describe()["n_vertices"]],
-                ["backend", pipeline.neighborhood.resolved_backend],
-                ["timed steps", args.steps],
-                ["seeds per step", args.batch_size],
-                ["context rows", rows],
-                ["wall time (ms)", round(wall_s * 1e3, 3)],
-                ["context rows / s", f"{rows / max(wall_s, 1e-9):,.0f}"],
-                ["warm-up ledger (ms)", round(snapshot_ms, 3)],
-                [
-                    "steady-state ledger (ms)",
-                    round(store.ledger.modelled_millis() - snapshot_ms, 3),
-                ],
-            ],
-            title=f"sampling-bench: {args.backend} kernels",
-        )
-    )
-    return 0
-
-
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.data import make_dataset as _make
     from repro.serving import (
@@ -1092,7 +1037,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "trace": _cmd_trace,
         "metrics-report": _cmd_metrics_report,
         "prefetch-demo": _cmd_prefetch_demo,
-        "sampling-bench": _cmd_sampling_bench,
         "serve-bench": _cmd_serve_bench,
         "workload-report": _cmd_workload_report,
         "timeseries": _cmd_timeseries,

@@ -73,8 +73,8 @@ class DynamicGraph:
         """A versioned :class:`~repro.sampling.base.SnapshotProvider` at ``t``.
 
         ``provider.advance(t')`` moves it to another snapshot and bumps its
-        version, which makes any batched sampler bound to it rebuild its
-        CSR snapshot on the next draw.
+        version, so the provider rebuilds its CSR snapshot (and samplers
+        their alias tables) on the next draw.
         """
         from repro.sampling.base import SnapshotProvider
 

@@ -6,11 +6,9 @@ numerically stable log-sigmoid for the skip-gram losses, and the segment
 kernels of the AGGREGATE step — fixed-size (``*_rows_segmented``) and
 ragged CSR-style (``segment_*`` over an offsets array).
 
-The ragged kernels mirror the batched/reference pattern of
-``sampling/kernels.py``: the default ``batched`` backend is one
-``np.add.reduceat``-style sweep over the concatenated rows; the
-``reference`` backend loops segments with plain numpy reductions and is the
-equivalence oracle the tests compare against.
+Each ragged kernel is one ``np.add.reduceat``-style sweep over the
+concatenated rows, with no per-segment Python loop; the tests compare them
+(values and gradients) against per-segment loops kept in ``tests/``.
 """
 
 from __future__ import annotations
@@ -267,9 +265,6 @@ def max_rows_segmented(x: Tensor, segment_size: int) -> Tensor:
 # ---------------------------------------------------------------------- #
 # Ragged (CSR-style) segment kernels
 # ---------------------------------------------------------------------- #
-SEGMENT_BACKENDS = ("batched", "reference")
-
-
 def _check_offsets(offsets: np.ndarray, n_rows: int) -> "tuple[np.ndarray, np.ndarray]":
     """Validate a CSR offsets array against ``n_rows``; return (offsets, sizes)."""
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -284,11 +279,7 @@ def _check_offsets(offsets: np.ndarray, n_rows: int) -> "tuple[np.ndarray, np.nd
     return offsets, np.diff(offsets)
 
 
-def _check_segment_input(x: Tensor, backend: str) -> None:
-    if backend not in SEGMENT_BACKENDS:
-        raise OperatorError(
-            f"unknown segment backend {backend!r}; expected one of {SEGMENT_BACKENDS}"
-        )
+def _check_segment_input(x: Tensor) -> None:
     if x.ndim != 2:
         raise OperatorError(f"segment kernels need (n, d) input, got shape {x.shape}")
 
@@ -330,7 +321,7 @@ def segment_mean_np(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return segment_sum_np(x, offsets) / np.maximum(sizes, 1)[:, None]
 
 
-def segment_sum(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Tensor:
+def segment_sum(x: Tensor, offsets: np.ndarray) -> Tensor:
     """Ragged segment sum: rows ``offsets[i]:offsets[i+1]`` sum to row ``i``.
 
     The un-padded AGGREGATE kernel: neighbor states concatenated in CSR
@@ -338,14 +329,9 @@ def segment_sum(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Ten
     segments produce zero rows (a vertex with no neighbors aggregates
     nothing).
     """
-    _check_segment_input(x, backend)
+    _check_segment_input(x)
     offsets, sizes = _check_offsets(offsets, x.shape[0])
-    if backend == "reference":
-        out = np.stack(
-            [x.data[lo:hi].sum(axis=0) for lo, hi in zip(offsets[:-1], offsets[1:])]
-        ) if sizes.size else np.zeros((0, x.shape[1]))
-    else:
-        out = segment_sum_np(x.data, offsets)
+    out = segment_sum_np(x.data, offsets)
 
     def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
         return [(x, np.repeat(g, sizes, axis=0))]
@@ -353,20 +339,12 @@ def segment_sum(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Ten
     return Tensor(out, _parents=(x,), _backward=backward)
 
 
-def segment_mean(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Tensor:
+def segment_mean(x: Tensor, offsets: np.ndarray) -> Tensor:
     """Ragged segment mean; empty segments yield zero rows."""
-    _check_segment_input(x, backend)
+    _check_segment_input(x)
     offsets, sizes = _check_offsets(offsets, x.shape[0])
     counts = np.maximum(sizes, 1).astype(np.float64)
-    if backend == "reference":
-        out = np.stack(
-            [
-                x.data[lo:hi].mean(axis=0) if hi > lo else np.zeros(x.shape[1])
-                for lo, hi in zip(offsets[:-1], offsets[1:])
-            ]
-        ) if sizes.size else np.zeros((0, x.shape[1]))
-    else:
-        out = segment_sum_np(x.data, offsets) / counts[:, None]
+    out = segment_sum_np(x.data, offsets) / counts[:, None]
 
     def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
         return [(x, np.repeat(g / counts[:, None], sizes, axis=0))]
@@ -374,26 +352,18 @@ def segment_mean(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Te
     return Tensor(out, _parents=(x,), _backward=backward)
 
 
-def segment_max(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Tensor:
+def segment_max(x: Tensor, offsets: np.ndarray) -> Tensor:
     """Ragged segment max; empty segments yield zero rows.
 
     Gradients flow to the *first* maximal row per (segment, column) —
     ``np.argmax`` semantics, matching :func:`max_rows_segmented`.
     """
-    _check_segment_input(x, backend)
+    _check_segment_input(x)
     offsets, sizes = _check_offsets(offsets, x.shape[0])
     n, d = x.shape
     seg_ids = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    if backend == "reference":
-        out = np.stack(
-            [
-                x.data[lo:hi].max(axis=0) if hi > lo else np.zeros(d)
-                for lo, hi in zip(offsets[:-1], offsets[1:])
-            ]
-        ) if sizes.size else np.zeros((0, d))
-    else:
-        out = _reduceat(np.maximum, x.data, offsets, fill=-np.inf)
-        out[sizes == 0] = 0.0
+    out = _reduceat(np.maximum, x.data, offsets, fill=-np.inf)
+    out[sizes == 0] = 0.0
     # First maximal position per (segment, column), for the backward scatter.
     pos = np.arange(n, dtype=np.int64) - offsets[seg_ids]
     hit = x.data == out[seg_ids]
@@ -412,7 +382,7 @@ def segment_max(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Ten
     return Tensor(out, _parents=(x,), _backward=backward)
 
 
-def segment_softmax(x: Tensor, offsets: np.ndarray, backend: str = "batched") -> Tensor:
+def segment_softmax(x: Tensor, offsets: np.ndarray) -> Tensor:
     """Within-segment softmax along the rows: output has ``x``'s shape.
 
     Each column is normalized independently inside its segment — the
@@ -420,22 +390,13 @@ def segment_softmax(x: Tensor, offsets: np.ndarray, backend: str = "batched") ->
     ``(n, 1)`` normalize per target vertex). Empty segments contribute no
     rows; single-row segments come out as 1.
     """
-    _check_segment_input(x, backend)
+    _check_segment_input(x)
     offsets, sizes = _check_offsets(offsets, x.shape[0])
     seg_ids = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    if backend == "reference":
-        s = np.empty_like(x.data)
-        for b, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
-            if hi == lo:
-                continue
-            shifted = x.data[lo:hi] - x.data[lo:hi].max(axis=0, keepdims=True)
-            e = np.exp(shifted)
-            s[lo:hi] = e / e.sum(axis=0, keepdims=True)
-    else:
-        mx = _reduceat(np.maximum, x.data, offsets, fill=0.0)
-        e = np.exp(x.data - mx[seg_ids])
-        denom = _reduceat(np.add, e, offsets, fill=1.0)
-        s = e / denom[seg_ids]
+    mx = _reduceat(np.maximum, x.data, offsets, fill=0.0)
+    e = np.exp(x.data - mx[seg_ids])
+    denom = _reduceat(np.add, e, offsets, fill=1.0)
+    s = e / denom[seg_ids]
 
     def backward(g: np.ndarray) -> "list[tuple[Tensor, np.ndarray]]":
         dot = _reduceat(np.add, g * s, offsets)

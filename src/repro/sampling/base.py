@@ -13,7 +13,10 @@ Neighborhood samplers read adjacency through a :class:`NeighborProvider`, so
 the same sampler runs against a plain in-memory :class:`Graph` or against the
 distributed store (with local/cache/remote accounting), matching the paper's
 "one-hop neighbors from local storage, multi-hop from local cache, else a
-call to a remote graph server".
+call to a remote graph server". A provider hands the sampler one hop's
+adjacency at a time as a :class:`~repro.sampling.kernels.CsrAdjacency`: the
+in-memory providers return their zero-copy global snapshot, the store
+provider the rows it just read for the hop's frontier.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 
 from repro.errors import SamplingError
 from repro.graph.graph import Graph
+from repro.sampling.kernels import CsrAdjacency
 
 
 class Sampler:
@@ -52,43 +56,24 @@ class Sampler:
 class NeighborProvider:
     """Adjacency access abstraction consumed by neighborhood samplers."""
 
-    #: Whether a full CSR snapshot of this provider is free to take (pure
-    #: memory views, no priced reads). Samplers with ``backend="auto"``
-    #: pick the batched kernels exactly when this is True; priced providers
-    #: keep the per-vertex reference path so their cost ledgers are
-    #: unchanged unless a snapshot is explicitly requested.
-    csr_cost_free = False
-
-    #: Adjacency version counter. Providers over mutable sources bump this
-    #: on every structural change; samplers compare it against the version
-    #: their CSR snapshot was built at and rebuild when it moved.
-    version = 0
-
     def neighbors(self, vertex: int) -> np.ndarray:
         """Out-neighbor ids of ``vertex``."""
         raise NotImplementedError
-
-    def prefetch(self, vertices: np.ndarray) -> None:
-        """Hint that ``vertices`` are about to be read.
-
-        Samplers call this once per hop with the whole frontier; providers
-        backed by the distributed store use it to coalesce the hop's remote
-        reads into batched RPCs. The in-memory provider ignores it.
-        """
 
     def weights(self, vertex: int) -> np.ndarray:
         """Edge weights aligned with :meth:`neighbors`."""
         raise NotImplementedError
 
-    def csr_snapshot(self) -> "object":
-        """A :class:`~repro.sampling.kernels.CsrAdjacency` of this provider.
+    def adjacency(
+        self, frontier: np.ndarray
+    ) -> "tuple[CsrAdjacency, np.ndarray]":
+        """Adjacency rows covering ``frontier`` plus each frontier slot's row.
 
-        The default scans the provider one vertex at a time (every read
-        priced as usual); providers with a cheaper bulk path override it.
+        Returns ``(csr, rows)`` where ``csr.neighbors(rows[i])`` is the
+        out-neighbor list of ``frontier[i]``. Samplers call this once per hop
+        and draw the whole hop from the returned rows.
         """
-        from repro.sampling.kernels import CsrAdjacency
-
-        return CsrAdjacency.from_provider(self)
+        raise NotImplementedError
 
     @property
     def n_vertices(self) -> int:
@@ -97,12 +82,21 @@ class NeighborProvider:
 
 
 class GraphProvider(NeighborProvider):
-    """Direct in-memory adjacency access (single-machine path)."""
+    """Direct in-memory adjacency access (single-machine path).
 
-    csr_cost_free = True
+    :meth:`adjacency` returns one zero-copy CSR snapshot of the graph, keyed
+    by :attr:`version`, so samplers reuse it (and tables derived from it)
+    across hops and batches.
+    """
+
+    #: Bumped whenever :attr:`graph` is replaced; the snapshot is rebuilt
+    #: on the next :meth:`adjacency` call after it moves.
+    version = 0
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
+        self._csr: CsrAdjacency | None = None
+        self._csr_version = -1
 
     def neighbors(self, vertex: int) -> np.ndarray:
         return self.graph.out_neighbors(vertex)
@@ -110,32 +104,32 @@ class GraphProvider(NeighborProvider):
     def weights(self, vertex: int) -> np.ndarray:
         return self.graph.out_weights(vertex)
 
-    def csr_snapshot(self) -> "object":
-        from repro.sampling.kernels import CsrAdjacency
-
-        return CsrAdjacency.from_graph(self.graph)
+    def adjacency(
+        self, frontier: np.ndarray
+    ) -> "tuple[CsrAdjacency, np.ndarray]":
+        if self._csr is None or self._csr_version != self.version:
+            self._csr = CsrAdjacency.from_graph(self.graph)
+            self._csr_version = self.version
+        return self._csr, frontier
 
     @property
     def n_vertices(self) -> int:
         return self.graph.n_vertices
 
 
-class SnapshotProvider(NeighborProvider):
+class SnapshotProvider(GraphProvider):
     """Adjacency over one timestamp of a :class:`DynamicGraph`.
 
     :meth:`advance` moves to another snapshot and bumps :attr:`version`, so
-    batched samplers bound to this provider rebuild their CSR on the next
-    draw — the "refresh on dynamic-graph updates" contract without the
-    sampler knowing about dynamic graphs at all.
+    the next :meth:`adjacency` call rebuilds the CSR and samplers drop the
+    tables derived from the old one — the "refresh on dynamic-graph
+    updates" contract without the sampler knowing about dynamic graphs.
     """
-
-    csr_cost_free = True
 
     def __init__(self, dynamic_graph: "object", t: int = 0) -> None:
         self.dynamic_graph = dynamic_graph
         self.t = int(t)
-        self.graph = dynamic_graph.snapshot(self.t)
-        self.version = 0
+        super().__init__(dynamic_graph.snapshot(self.t))
 
     def advance(self, t: int) -> "SnapshotProvider":
         """Rebind to snapshot ``t`` (no-op when already there)."""
@@ -146,35 +140,22 @@ class SnapshotProvider(NeighborProvider):
             self.version += 1
         return self
 
-    def neighbors(self, vertex: int) -> np.ndarray:
-        return self.graph.out_neighbors(vertex)
-
-    def weights(self, vertex: int) -> np.ndarray:
-        return self.graph.out_weights(vertex)
-
-    def csr_snapshot(self) -> "object":
-        from repro.sampling.kernels import CsrAdjacency
-
-        return CsrAdjacency.from_graph(self.graph)
-
-    @property
-    def n_vertices(self) -> int:
-        return self.graph.n_vertices
-
 
 class StoreProvider(NeighborProvider):
     """Adjacency access through the distributed store, as one worker.
 
     Every read is routed (and priced) by the store: local shard, neighbor
     cache, or remote RPC. ``from_part`` identifies the issuing worker.
-    Weights for remote vertices are uniform — shipping weight vectors is a
-    cost the paper's samplers avoid by using cached/dynamic local weights.
+    Weights are uniform — shipping weight vectors is a cost the paper's
+    samplers avoid by using cached/dynamic local weights.
 
-    With ``batched=True`` (the default), :meth:`prefetch` resolves a whole
-    frontier through ``store.get_neighbors_batch`` — one deduplicated RPC
-    per destination server via the runtime — and :meth:`neighbors` serves
-    from the prefetched rows; vertices read outside a prefetch fall back to
-    the per-vertex path, so results are identical either way.
+    Nothing is buffered between calls, so every read observes the store's
+    writes. :meth:`adjacency` reads a hop's frontier once: with
+    ``batched=True`` (the default) through ``store.get_neighbors_batch`` on
+    the distinct frontier vertices — one deduplicated RPC per destination
+    server via the runtime; with ``batched=False`` through
+    ``store.neighbors`` once per frontier slot, in frontier order, duplicates
+    included (the unbatched-transport baseline).
     """
 
     def __init__(self, store: "object", from_part: int, batched: bool = True) -> None:
@@ -182,39 +163,19 @@ class StoreProvider(NeighborProvider):
         self.store = store
         self.from_part = from_part
         self.batched = batched
-        self._prefetched: "dict[int, np.ndarray]" = {}
 
-    def prefetch(self, vertices: np.ndarray) -> None:
+    def adjacency(
+        self, frontier: np.ndarray
+    ) -> "tuple[CsrAdjacency, np.ndarray]":
         if not self.batched:
-            return
-        self._prefetched = self.store.get_neighbors_batch(
-            vertices, from_part=self.from_part
-        )
-
-    def csr_snapshot(self) -> "object":
-        """CSR snapshot via one bulk batched read of the whole graph.
-
-        Every row is fetched through ``get_neighbors_batch`` — one
-        deduplicated RPC per owning server, fully priced on the cost
-        ledger. Pays once; afterwards batched kernels draw without any
-        per-hop store traffic (weights stay uniform, as for all remote
-        reads through this provider).
-        """
-        from repro.sampling.kernels import CsrAdjacency
-
-        all_vertices = np.arange(self.n_vertices, dtype=np.int64)
-        fetched = self.store.get_neighbors_batch(
-            all_vertices, from_part=self.from_part
-        )
-        rows = [
-            np.asarray(fetched[int(v)], dtype=np.int64) for v in all_vertices
-        ]
-        return CsrAdjacency.from_rows(rows)
+            rows = [self.neighbors(v) for v in frontier.tolist()]
+            return CsrAdjacency.from_rows(rows, frontier), np.arange(frontier.size)
+        ids = np.unique(frontier)
+        fetched = self.store.get_neighbors_batch(ids, from_part=self.from_part)
+        rows = [fetched[v] for v in ids.tolist()]
+        return CsrAdjacency.from_rows(rows, ids), np.searchsorted(ids, frontier)
 
     def neighbors(self, vertex: int) -> np.ndarray:
-        row = self._prefetched.get(int(vertex))
-        if row is not None:
-            return row
         return self.store.neighbors(vertex, from_part=self.from_part)
 
     def weights(self, vertex: int) -> np.ndarray:

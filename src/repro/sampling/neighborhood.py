@@ -17,24 +17,16 @@ the paper's Table 1:
 * :class:`FullNeighborSampler` — no sampling (exact GCN), with a fan-out cap
   as a safety valve on power-law hubs.
 
-Every sampler exposes two execution backends behind the same public
-:meth:`_ExpandingSampler.sample_children` API:
-
-* ``batched`` — one vectorized draw for the whole frontier over a
-  :class:`~repro.sampling.kernels.CsrAdjacency` snapshot (uniform draws are
-  a broadcast ``rng.integers``; weighted/importance draws go through one
-  :class:`~repro.utils.alias.GroupedAliasTable` spanning every adjacency
-  list). The snapshot is built once from the provider and rebuilt whenever
-  the provider's ``version`` counter moves (dynamic-graph updates).
-* ``reference`` — the original per-vertex scalar loop, kept as the
-  equivalence oracle: deterministic samplers must match it exactly, the
-  stochastic ones distributionally (chi-square tested).
-
-``backend="auto"`` (the default) picks ``batched`` when the provider's CSR
-snapshot is free to take (in-memory providers) and ``reference`` when reads
-are priced (the distributed store path keeps per-hop prefetch + per-vertex
-draws, so its cost ledgers are unchanged); pass ``backend="batched"`` to a
-store-backed sampler to pay for one bulk snapshot instead.
+Every sampler has one :meth:`_ExpandingSampler.sample_children`
+implementation: per hop it asks the provider for the frontier's adjacency —
+a :class:`~repro.sampling.kernels.CsrAdjacency` plus each frontier slot's row
+— and draws the whole hop with one vectorized kernel (uniform draws are a
+broadcast ``rng.integers``; weighted/importance draws go through one
+:class:`~repro.utils.alias.GroupedAliasTable` spanning every row). In-memory
+providers return the same global snapshot hop after hop, so derived alias
+tables are built once and reused until the snapshot changes; the store
+provider returns the rows it just read for the hop, so store-backed draws
+always see the store's current adjacency.
 """
 
 from __future__ import annotations
@@ -46,9 +38,7 @@ import numpy as np
 from repro.errors import SamplingError
 from repro.sampling.base import NeighborProvider, Sampler
 from repro.sampling.kernels import CsrAdjacency
-from repro.utils.alias import AliasTable, GroupedAliasTable
-
-_BACKENDS = ("auto", "batched", "reference")
+from repro.utils.alias import GroupedAliasTable
 
 
 @dataclass
@@ -95,83 +85,20 @@ class NeighborhoodSample:
 
 
 class _ExpandingSampler(Sampler):
-    """Shared multi-hop expansion; subclasses supply the draw kernels.
+    """Shared multi-hop expansion; subclasses supply the frontier draw."""
 
-    Subclasses implement ``_sample_one`` (scalar reference draw) and
-    ``_sample_children_batched`` (vectorized frontier draw); everything
-    else — backend selection, CSR snapshot lifecycle, hop expansion —
-    lives here.
-    """
-
-    def __init__(self, provider: NeighborProvider, backend: str = "auto") -> None:
+    def __init__(self, provider: NeighborProvider) -> None:
         super().__init__()
-        if backend not in _BACKENDS:
-            raise SamplingError(
-                f"unknown sampler backend {backend!r}; expected one of {_BACKENDS}"
-            )
         self.provider = provider
-        self.backend = backend
-        self._csr: CsrAdjacency | None = None
-        self._csr_version = -1
 
-    # ------------------------------------------------------------------ #
-    # Backend / snapshot lifecycle
-    # ------------------------------------------------------------------ #
-    @property
-    def resolved_backend(self) -> str:
-        """The backend actually in use (``auto`` resolved per provider)."""
-        if self.backend != "auto":
-            return self.backend
-        return "batched" if getattr(self.provider, "csr_cost_free", False) else "reference"
-
-    def csr(self) -> CsrAdjacency:
-        """The adjacency snapshot backing the batched kernels.
-
-        Built lazily from the provider; rebuilt automatically when the
-        provider's ``version`` counter moves (dynamic-graph snapshots).
-        """
-        version = getattr(self.provider, "version", 0)
-        if self._csr is None or version != self._csr_version:
-            self._csr = self.provider.csr_snapshot()
-            self._csr_version = version
-            self._on_csr_refresh()
-        return self._csr
-
-    def refresh_csr(self) -> None:
-        """Drop the CSR snapshot (and derived tables); rebuilt on next draw."""
-        self._csr = None
-        self._csr_version = -1
-        self._on_csr_refresh()
-
-    def _on_csr_refresh(self) -> None:
-        """Hook for subclasses holding tables derived from the snapshot."""
-
-    def rebind(self, provider: NeighborProvider) -> None:
-        """Point the sampler at a new provider and refresh the snapshot."""
-        self.provider = provider
-        self.refresh_csr()
-
-    # ------------------------------------------------------------------ #
-    # Draw kernels
-    # ------------------------------------------------------------------ #
-    def _sample_one(
-        self, vertex: int, count: int, rng: np.random.Generator
+    def _draw(
+        self,
+        csr: CsrAdjacency,
+        rows: np.ndarray,
+        count: int,
+        rng: np.random.Generator,
     ) -> np.ndarray:
-        """Scalar reference draw: exactly ``count`` neighbor ids of ``vertex``.
-
-        Vertices without neighbors are padded with themselves.
-
-        .. deprecated:: PR 5
-            Private — the reference backend's inner kernel only. External
-            callers use :meth:`sample_children`, which batches the whole
-            frontier and works on either backend.
-        """
-        raise NotImplementedError
-
-    def _sample_children_batched(
-        self, vertices: np.ndarray, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Vectorized draw: ``(len(vertices), count)`` neighbor ids."""
+        """``(len(rows), count)`` neighbor ids drawn from ``csr``'s ``rows``."""
         raise NotImplementedError
 
     def sample_children(
@@ -179,25 +106,17 @@ class _ExpandingSampler(Sampler):
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Draw ``count`` children for every frontier vertex — one call.
 
-        The public batched API: returns ``(children, pad_mask)``, both of
-        shape ``(len(vertices), count)``. ``pad_mask`` marks entries equal
-        to their parent (the self-loop contract of
-        :class:`NeighborhoodSample`). On the ``batched`` backend this is a
-        handful of numpy kernel calls over the CSR snapshot; on
-        ``reference`` it loops the scalar oracle per vertex (prefetching
-        the deduplicated frontier first, so store-backed providers coalesce
-        the hop into batched RPCs).
+        Returns ``(children, pad_mask)``, both of shape
+        ``(len(vertices), count)``. Vertices without neighbors are padded
+        with themselves; ``pad_mask`` marks entries equal to their parent
+        (the self-loop contract of :class:`NeighborhoodSample`). The
+        frontier's adjacency is read from the provider once.
         """
         if count < 1:
             raise SamplingError(f"fan-out must be positive, got {count}")
         vertices = np.atleast_1d(np.asarray(vertices, dtype=np.int64))
-        if self.resolved_backend == "batched":
-            children = self._sample_children_batched(vertices, count, rng)
-        else:
-            self.provider.prefetch(np.unique(vertices))
-            children = np.empty((vertices.size, count), dtype=np.int64)
-            for i, v in enumerate(vertices):
-                children[i] = self._sample_one(int(v), count, rng)
+        csr, rows = self.provider.adjacency(vertices)
+        children = self._draw(csr, rows, count, rng)
         return children, children == vertices[:, None]
 
     def sample(
@@ -226,38 +145,63 @@ class UniformNeighborSampler(_ExpandingSampler):
 
     name = "neighborhood_uniform"
 
-    def _sample_one(
-        self, vertex: int, count: int, rng: np.random.Generator
+    def _draw(
+        self,
+        csr: CsrAdjacency,
+        rows: np.ndarray,
+        count: int,
+        rng: np.random.Generator,
     ) -> np.ndarray:
-        nbrs = self.provider.neighbors(vertex)
-        if nbrs.size == 0:
-            return np.full(count, vertex, dtype=np.int64)
-        return nbrs[rng.integers(nbrs.size, size=count)]
+        return csr.sample_uniform(rows, count, rng)
 
-    def _sample_children_batched(
-        self, vertices: np.ndarray, count: int, rng: np.random.Generator
+
+class _AliasSampler(_ExpandingSampler):
+    """Draws through a grouped alias table over the provider's rows.
+
+    The table is cached for the adjacency it was built over: reused while
+    the provider keeps returning the same snapshot, rebuilt for a new one
+    (every store-read frontier, every dynamic-graph advance).
+    """
+
+    def __init__(self, provider: NeighborProvider) -> None:
+        super().__init__(provider)
+        self._table: GroupedAliasTable | None = None
+        self._table_csr: CsrAdjacency | None = None
+
+    def _slot_weights(self, csr: CsrAdjacency) -> np.ndarray:
+        """Unnormalized draw weight of every adjacency slot of ``csr``."""
+        raise NotImplementedError
+
+    def _table_for(self, csr: CsrAdjacency) -> GroupedAliasTable:
+        if csr is not self._table_csr:
+            self._table = GroupedAliasTable(self._slot_weights(csr), csr.indptr)
+            self._table_csr = csr
+        return self._table
+
+    def _draw(
+        self,
+        csr: CsrAdjacency,
+        rows: np.ndarray,
+        count: int,
+        rng: np.random.Generator,
     ) -> np.ndarray:
-        return self.csr().sample_uniform(vertices, count, rng)
+        return csr.sample_alias(rows, count, rng, self._table_for(csr))
 
 
-class WeightedNeighborSampler(_ExpandingSampler):
+class WeightedNeighborSampler(_AliasSampler):
     """Edge-weight proportional sampling with dynamic (trainable) weights.
 
-    Alias tables are built lazily and invalidated when ``backward`` adjusts
-    a vertex's weights — the paper's "register a gradient function for the
-    sampler" mechanism. The batched backend keeps one
-    :class:`~repro.utils.alias.GroupedAliasTable` spanning every adjacency
-    list and rebuilds only the touched vertex's slots per update; the
-    reference backend keeps the original per-vertex tables.
+    ``backward`` adjusts a vertex's weights — the paper's "register a
+    gradient function for the sampler" mechanism. Overrides are applied to
+    whichever adjacency the provider returns; a cached global table is
+    patched in place (only the touched vertex's slots are rebuilt).
     """
 
     name = "neighborhood_weighted"
 
-    def __init__(self, provider: NeighborProvider, backend: str = "auto") -> None:
-        super().__init__(provider, backend=backend)
+    def __init__(self, provider: NeighborProvider) -> None:
+        super().__init__(provider)
         self._weights: dict[int, np.ndarray] = {}
-        self._tables: dict[int, AliasTable] = {}
-        self._grouped: GroupedAliasTable | None = None
         self.register_update_fn(self._apply_weight_update)
 
     def current_weights(self, vertex: int) -> np.ndarray:
@@ -281,80 +225,49 @@ class WeightedNeighborSampler(_ExpandingSampler):
             )
         updated = np.maximum(weights * np.exp(lr * grads), 1e-12)
         self._weights[vertex] = updated
-        self._tables.pop(vertex, None)  # invalidate the reference table
-        if self._grouped is not None:  # patch the batched table in place
-            self._grouped.update_group(vertex, updated)
+        if self._table_csr is not None and self._table_csr.ids is None:
+            self._table.update_group(vertex, updated)  # global: row == vertex
 
-    def _on_csr_refresh(self) -> None:
-        self._grouped = None
-
-    def _grouped_table(self) -> GroupedAliasTable:
-        csr = self.csr()
-        if self._grouped is None:
-            weights = csr.weights.copy()
-            for vertex, override in self._weights.items():
-                start, end = csr.indptr[vertex], csr.indptr[vertex + 1]
+    def _slot_weights(self, csr: CsrAdjacency) -> np.ndarray:
+        weights = csr.weights.copy()
+        if self._weights:
+            ids = np.arange(csr.n_vertices) if csr.ids is None else csr.ids
+            for row in np.flatnonzero(np.isin(ids, list(self._weights))).tolist():
+                override = self._weights[int(ids[row])]
+                start, end = csr.indptr[row], csr.indptr[row + 1]
                 if override.size == end - start:
                     weights[start:end] = override
-            self._grouped = GroupedAliasTable(weights, csr.indptr)
-        return self._grouped
-
-    def _sample_one(
-        self, vertex: int, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        nbrs = self.provider.neighbors(vertex)
-        if nbrs.size == 0:
-            return np.full(count, vertex, dtype=np.int64)
-        table = self._tables.get(vertex)
-        if table is None:
-            table = AliasTable(self.current_weights(vertex))
-            self._tables[vertex] = table
-        return nbrs[table.draw_batch(rng, count)]
-
-    def _sample_children_batched(
-        self, vertices: np.ndarray, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        return self.csr().sample_alias(vertices, count, rng, self._grouped_table())
+        return weights
 
 
 class TopKNeighborSampler(_ExpandingSampler):
     """Deterministic heaviest-``count`` neighbors (ties by id).
 
     Repeats the heaviest neighbors cyclically when the fan-out exceeds the
-    degree so output stays aligned. Both backends produce identical output
-    (the batched kernel gathers through the snapshot's cached per-row
-    weight ranking).
+    degree so output stays aligned; the kernel gathers through the
+    adjacency's cached per-row weight ranking.
     """
 
     name = "neighborhood_topk"
 
-    def _sample_one(
-        self, vertex: int, count: int, rng: np.random.Generator
+    def _draw(
+        self,
+        csr: CsrAdjacency,
+        rows: np.ndarray,
+        count: int,
+        rng: np.random.Generator,
     ) -> np.ndarray:
-        nbrs = self.provider.neighbors(vertex)
-        if nbrs.size == 0:
-            return np.full(count, vertex, dtype=np.int64)
-        weights = self.provider.weights(vertex)
-        order = np.lexsort((nbrs, -weights))
-        top = nbrs[order[: min(count, nbrs.size)]]
-        reps = int(np.ceil(count / top.size))
-        return np.tile(top, reps)[:count]
-
-    def _sample_children_batched(
-        self, vertices: np.ndarray, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        return self.csr().sample_ranked(vertices, count)
+        return csr.sample_ranked(rows, count)
 
 
-class ImportanceNeighborSampler(_ExpandingSampler):
+class ImportanceNeighborSampler(_AliasSampler):
     """Degree-proportional importance sampling (FastGCN/AS-GCN family).
 
     Samples neighbor ``u`` of ``v`` with probability proportional to
     ``deg(u)^beta`` (``beta=1`` emphasizes hubs; FastGCN's q(u) ∝ deg).
     ``inclusion_probability`` exposes the per-draw probabilities so callers
-    can build unbiased (importance-weighted) aggregations. The batched
-    backend packs ``deg^beta`` scores for every adjacency slot into one
-    grouped alias table.
+    can build unbiased (importance-weighted) aggregations. The alias table
+    packs ``deg^beta`` scores for every adjacency slot.
     """
 
     name = "neighborhood_importance"
@@ -364,18 +277,13 @@ class ImportanceNeighborSampler(_ExpandingSampler):
         provider: NeighborProvider,
         degrees: np.ndarray,
         beta: float = 1.0,
-        backend: str = "auto",
     ):
-        super().__init__(provider, backend=backend)
+        super().__init__(provider)
         degrees = np.asarray(degrees, dtype=np.float64)
         if degrees.ndim != 1:
             raise SamplingError("degrees must be a 1-D vector")
         self.beta = beta
         self._scores = np.power(np.maximum(degrees, 1.0), beta)
-        self._grouped: GroupedAliasTable | None = None
-
-    def _on_csr_refresh(self) -> None:
-        self._grouped = None
 
     def inclusion_probability(self, vertex: int) -> np.ndarray:
         """p(u | v) over ``v``'s neighbor list (sums to 1)."""
@@ -385,59 +293,30 @@ class ImportanceNeighborSampler(_ExpandingSampler):
         scores = self._scores[nbrs]
         return scores / scores.sum()
 
-    def _grouped_table(self) -> GroupedAliasTable:
-        csr = self.csr()
-        if self._grouped is None:
-            self._grouped = GroupedAliasTable(self._scores[csr.indices], csr.indptr)
-        return self._grouped
-
-    def _sample_one(
-        self, vertex: int, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        nbrs = self.provider.neighbors(vertex)
-        if nbrs.size == 0:
-            return np.full(count, vertex, dtype=np.int64)
-        probs = self.inclusion_probability(vertex)
-        return nbrs[rng.choice(nbrs.size, size=count, p=probs)]
-
-    def _sample_children_batched(
-        self, vertices: np.ndarray, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        return self.csr().sample_alias(vertices, count, rng, self._grouped_table())
+    def _slot_weights(self, csr: CsrAdjacency) -> np.ndarray:
+        return self._scores[csr.indices]
 
 
 class FullNeighborSampler(_ExpandingSampler):
     """No sampling: the full neighbor set, cyclically padded to ``count``.
 
     ``max_fanout`` caps hub explosion; pass the graph's max degree as the
-    fan-out to make the expansion exact. Both backends produce identical
-    output.
+    fan-out to make the expansion exact.
     """
 
     name = "neighborhood_full"
 
-    def __init__(
-        self,
-        provider: NeighborProvider,
-        max_fanout: int = 512,
-        backend: str = "auto",
-    ) -> None:
-        super().__init__(provider, backend=backend)
+    def __init__(self, provider: NeighborProvider, max_fanout: int = 512) -> None:
+        super().__init__(provider)
         if max_fanout < 1:
             raise SamplingError("max_fanout must be positive")
         self.max_fanout = max_fanout
 
-    def _sample_one(
-        self, vertex: int, count: int, rng: np.random.Generator
+    def _draw(
+        self,
+        csr: CsrAdjacency,
+        rows: np.ndarray,
+        count: int,
+        rng: np.random.Generator,
     ) -> np.ndarray:
-        nbrs = self.provider.neighbors(vertex)
-        if nbrs.size == 0:
-            return np.full(count, vertex, dtype=np.int64)
-        take = nbrs[: min(self.max_fanout, nbrs.size)]
-        reps = int(np.ceil(count / take.size))
-        return np.tile(take, reps)[:count]
-
-    def _sample_children_batched(
-        self, vertices: np.ndarray, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        return self.csr().sample_leading(vertices, count, max_take=self.max_fanout)
+        return csr.sample_leading(rows, count, max_take=self.max_fanout)

@@ -23,50 +23,16 @@ def random_walks(
     length: int,
     rng: np.random.Generator,
     weighted: bool = False,
-    backend: str = "batched",
 ) -> "list[np.ndarray]":
     """Uniform (or weight-proportional) walks of ``length`` steps per start.
 
-    The ``batched`` backend steps *all* walks in lock-step over a CSR
-    snapshot — one vectorized draw per step for the whole frontier of alive
-    walks (weighted steps go through one grouped alias table spanning every
-    adjacency list). ``reference`` keeps the original per-walk scalar loop;
-    the two are distributionally equivalent but consume the RNG stream
-    differently.
+    Steps *all* walks in lock-step over a CSR snapshot — one vectorized draw
+    per step for the whole frontier of alive walks (weighted steps go
+    through one grouped alias table spanning every adjacency list).
     """
     if length < 1:
         raise SamplingError(f"walk length must be positive, got {length}")
-    if backend not in ("batched", "reference"):
-        raise SamplingError(f"unknown walk backend {backend!r}")
     starts = np.atleast_1d(np.asarray(starts, dtype=np.int64))
-    if backend == "batched":
-        return _random_walks_batched(graph, starts, length, rng, weighted)
-    walks = []
-    for start in starts:
-        walk = [int(start)]
-        current = int(start)
-        for _ in range(length):
-            nbrs = graph.out_neighbors(current)
-            if nbrs.size == 0:
-                break
-            if weighted:
-                w = graph.out_weights(current)
-                current = int(nbrs[rng.choice(nbrs.size, p=w / w.sum())])
-            else:
-                current = int(nbrs[rng.integers(nbrs.size)])
-            walk.append(current)
-        walks.append(np.asarray(walk, dtype=np.int64))
-    return walks
-
-
-def _random_walks_batched(
-    graph: Graph,
-    starts: np.ndarray,
-    length: int,
-    rng: np.random.Generator,
-    weighted: bool,
-) -> "list[np.ndarray]":
-    """Lock-step frontier walker over a CSR snapshot."""
     csr = CsrAdjacency.from_graph(graph)
     table = GroupedAliasTable(csr.weights, csr.indptr) if weighted else None
     m = starts.size

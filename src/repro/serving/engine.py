@@ -10,8 +10,8 @@ simulation on the runtime's :class:`~repro.runtime.rpc.VirtualClock`:
   when not (which then refills the cache, so Zipf-skewed traffic converges
   to a high hit rate);
 * **fresh inference** samples the user's k-hop neighborhood through the
-  :class:`~repro.storage.cluster.DistributedGraphStore` — per-hop frontier
-  prefetch, deduplicated batched RPCs, importance-cache hits, failover;
+  :class:`~repro.storage.cluster.DistributedGraphStore` — one batched
+  frontier read per hop, deduplicated RPCs, importance-cache hits, failover;
   everything the read path learned in PRs 1–5 now shows up as serving
   latency — and aggregates base vectors bottom-up (mean + combine +
   normalize, the Algorithm-1 forward shape) into a fresh embedding;

@@ -1,12 +1,12 @@
 """Small self-contained statistics helpers for sampler equivalence checks.
 
-The batched sampling kernels are validated *distributionally* against the
-scalar reference backend (the two consume RNG streams differently, so
-bit-equality is only required of the deterministic samplers). The tests and
-benchmarks need chi-square p-values for that; to keep the repo dependency-
-free these are computed here from scratch via the regularized incomplete
-gamma function (series + continued-fraction forms, Numerical Recipes style)
-rather than pulling in scipy.
+The vectorized sampling kernels are validated *distributionally* against
+per-vertex reference loops kept with the tests (the two may consume RNG
+streams differently, so bit-equality is only required of the deterministic
+samplers). The tests and benchmarks need chi-square p-values for that; to
+keep the repo dependency-free these are computed here from scratch via the
+regularized incomplete gamma function (series + continued-fraction forms,
+Numerical Recipes style) rather than pulling in scipy.
 
 The module also hosts the seeded :class:`ZipfSampler` — the hot-key skew
 generator behind the serving tier's load shapes (and a reusable building

@@ -115,19 +115,6 @@ def test_runtime_demo_prints_metrics_and_ledger(capsys):
     assert "remote_rpc" in out and "TOTAL" in out
 
 
-def test_sampling_bench_runs_both_backends(capsys):
-    for backend in ("batched", "reference"):
-        code = main(
-            ["sampling-bench", "--scale", "0.1", "--steps", "2",
-             "--workers", "3", "--backend", backend, "--seed", "0"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert f"sampling-bench: {backend} kernels" in out
-        assert backend in out
-        assert "context rows / s" in out
-
-
 def test_fault_matrix_sweep(capsys):
     code = main(
         ["fault-matrix", "--scale", "0.1", "--workers", "3",

@@ -9,6 +9,7 @@ from repro.nn import functional as F
 from repro.nn.gradcheck import check_gradients
 from repro.nn.tensor import Tensor
 from repro.utils.rng import make_rng
+from tests import oracles
 
 rng = make_rng(7)
 
@@ -170,31 +171,41 @@ def test_segment_divisibility_checked():
 # Ragged (CSR-style) segment kernels
 # ---------------------------------------------------------------------- #
 RAGGED_OFFSETS = np.array([0, 3, 3, 7, 8, 12])  # includes an empty segment
-SEGMENT_KERNELS = [F.segment_sum, F.segment_mean, F.segment_max, F.segment_softmax]
+SEGMENT_KERNELS = [
+    (F.segment_sum, oracles.segment_sum),
+    (F.segment_mean, oracles.segment_mean),
+    (F.segment_max, oracles.segment_max),
+    (F.segment_softmax, oracles.segment_softmax),
+]
 SEGMENT_IDS = ["sum", "mean", "max", "softmax"]
 
 
-@pytest.mark.parametrize("kernel", SEGMENT_KERNELS, ids=SEGMENT_IDS)
-@pytest.mark.parametrize("backend", F.SEGMENT_BACKENDS)
-def test_segment_kernel_gradients(kernel, backend):
+@pytest.mark.parametrize("kernel,oracle", SEGMENT_KERNELS, ids=SEGMENT_IDS)
+@pytest.mark.parametrize("check", ["batched", "reference"])
+def test_segment_kernel_gradients(kernel, oracle, check):
+    # "batched": the kernel's backward against finite differences;
+    # "reference": against the per-segment oracle's vector-Jacobian product.
     x = Tensor(make_rng(3).normal(size=(12, 4)), requires_grad=True)
-    check_gradients(
-        lambda: (kernel(x, RAGGED_OFFSETS, backend=backend) ** 2).sum(), [x]
-    )
+    if check == "batched":
+        check_gradients(lambda: (kernel(x, RAGGED_OFFSETS) ** 2).sum(), [x])
+        return
+    out = kernel(x, RAGGED_OFFSETS)
+    (out**2).sum().backward()
+    _, want = oracle(x.numpy(), RAGGED_OFFSETS, 2.0 * out.numpy())
+    np.testing.assert_allclose(x.grad, want, atol=1e-12)
 
 
-@pytest.mark.parametrize("kernel", SEGMENT_KERNELS, ids=SEGMENT_IDS)
-def test_segment_backends_agree(kernel):
+@pytest.mark.parametrize("kernel,oracle", SEGMENT_KERNELS, ids=SEGMENT_IDS)
+def test_segment_backends_agree(kernel, oracle):
+    # The vectorized kernel equals the per-segment oracle: values and the
+    # gradient under an arbitrary upstream gradient.
     x = Tensor(make_rng(4).normal(size=(12, 4)), requires_grad=True)
-    outs, grads = [], []
-    for backend in F.SEGMENT_BACKENDS:
-        x.zero_grad()
-        out = kernel(x, RAGGED_OFFSETS, backend=backend)
-        (out**2).sum().backward()
-        outs.append(out.numpy())
-        grads.append(x.grad.copy())
-    np.testing.assert_allclose(outs[0], outs[1], atol=1e-12)
-    np.testing.assert_allclose(grads[0], grads[1], atol=1e-12)
+    out = kernel(x, RAGGED_OFFSETS)
+    g = make_rng(8).normal(size=out.shape)
+    (out * Tensor(g)).sum().backward()
+    want_out, want_grad = oracle(x.numpy(), RAGGED_OFFSETS, g)
+    np.testing.assert_allclose(out.numpy(), want_out, atol=1e-12)
+    np.testing.assert_allclose(x.grad, want_grad, atol=1e-12)
 
 
 def test_segment_sum_values_and_empty_segment():
@@ -249,7 +260,5 @@ def test_segment_offsets_validation():
         F.segment_sum(x, np.array([0, 4, 3, 6]))  # not monotone
     with pytest.raises(OperatorError):
         F.segment_sum(x, np.array([0, 3, 5]))  # does not cover all rows
-    with pytest.raises(OperatorError):
-        F.segment_sum(x, np.array([0, 6]), backend="nope")
     with pytest.raises(OperatorError):
         F.segment_sum(Tensor(np.zeros(6)), np.array([0, 6]))  # 1-D input

@@ -1,5 +1,5 @@
-"""Batched frontier-sampling kernels: CSR snapshots, grouped alias tables,
-backend equivalence, determinism, and dynamic refresh."""
+"""Batched frontier-sampling kernels: CSR adjacency, grouped alias tables,
+equivalence with the per-vertex oracles, determinism, and dynamic refresh."""
 
 from __future__ import annotations
 
@@ -29,23 +29,31 @@ from repro.utils.stats import (
     chi_square_homogeneity,
     zipf_probs,
 )
+from tests import oracles
 
 P_FLOOR = 1e-4  # equivalence tests: H0 true, so p is uniform on [0, 1]
 
 
-def _sampler(kind: str, graph: Graph, backend: str):
+def _sampler(kind: str, graph: Graph):
     provider = GraphProvider(graph)
     if kind == "uniform":
-        return UniformNeighborSampler(provider, backend=backend)
+        return UniformNeighborSampler(provider)
     if kind == "weighted":
-        return WeightedNeighborSampler(provider, backend=backend)
+        return WeightedNeighborSampler(provider)
     if kind == "topk":
-        return TopKNeighborSampler(provider, backend=backend)
+        return TopKNeighborSampler(provider)
     if kind == "importance":
-        return ImportanceNeighborSampler(
-            provider, graph.out_degrees(), backend=backend
-        )
-    return FullNeighborSampler(provider, backend=backend)
+        return ImportanceNeighborSampler(provider, graph.out_degrees())
+    return FullNeighborSampler(provider)
+
+
+def _store(graph: Graph, n_workers: int = 2):
+    from repro.runtime import RpcRuntime
+    from repro.storage.cluster import make_store
+
+    store = make_store(graph, n_workers, seed=0)
+    store.attach_runtime(RpcRuntime(store))
+    return store
 
 
 ALL_KINDS = ["uniform", "weighted", "topk", "importance", "full"]
@@ -65,11 +73,28 @@ class TestCsrAdjacency:
         assert csr.n_slots == int(tiny_graph.out_degrees().sum())
 
     def test_from_provider_scan_equals_from_graph(self, tiny_graph):
+        # A store provider's adjacency for every vertex holds the graph's
+        # rows, batched (one row per distinct vertex) or not (one per slot).
+        from repro.sampling import StoreProvider
+
         a = CsrAdjacency.from_graph(tiny_graph)
-        b = CsrAdjacency.from_provider(GraphProvider(tiny_graph))
-        assert np.array_equal(a.indptr, b.indptr)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.weights, b.weights)
+        frontier = np.array([5, 0, 1, 2, 3, 4, 0], dtype=np.int64)
+        for batched, n_rows in ((True, 6), (False, 7)):
+            provider = StoreProvider(_store(tiny_graph), 0, batched=batched)
+            b, rows = provider.adjacency(frontier)
+            assert b.n_vertices == n_rows
+            assert np.array_equal(b.ids[rows], frontier)
+            for v, r in zip(frontier, rows):
+                assert np.array_equal(b.neighbors(r), a.neighbors(v))
+                assert np.all(b.weights_of(r) == 1.0)
+
+    def test_row_ids_pad_empty_rows(self, rng):
+        csr = CsrAdjacency.from_rows(
+            [np.zeros(0, dtype=np.int64), np.array([3, 4])], ids=np.array([7, 9])
+        )
+        out = csr.sample_uniform(np.array([0, 1, 0]), 4, rng)
+        assert np.all(out[0] == 7) and np.all(out[2] == 7)
+        assert set(out[1].tolist()) <= {3, 4}
 
     def test_validation_rejects_bad_indptr(self):
         with pytest.raises(SamplingError):
@@ -78,6 +103,8 @@ class TestCsrAdjacency:
             CsrAdjacency(np.array([0, 3]), np.array([0, 1]), np.ones(2))
         with pytest.raises(SamplingError):
             CsrAdjacency(np.array([0, 2, 1]), np.array([0, 1]), np.ones(2))
+        with pytest.raises(SamplingError):  # one id per row
+            CsrAdjacency(np.array([0, 2]), np.array([0, 1]), np.ones(2), np.arange(2))
 
     def test_ranked_orders_by_weight_then_id(self, tiny_graph):
         csr = CsrAdjacency.from_graph(tiny_graph)
@@ -170,7 +197,7 @@ class TestGroupedAlias:
 class TestSampleChildren:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_shapes_and_membership(self, small_powerlaw, rng, kind):
-        sampler = _sampler(kind, small_powerlaw, "batched")
+        sampler = _sampler(kind, small_powerlaw)
         vs = np.array([0, 5, 17, 300], dtype=np.int64)
         children, pad = sampler.sample_children(vs, 7, rng)
         assert children.shape == pad.shape == (4, 7)
@@ -190,12 +217,9 @@ class TestSampleChildren:
         self, small_powerlaw, rng, kind
     ):
         vs = np.arange(small_powerlaw.n_vertices, dtype=np.int64)
-        got, gp = _sampler(kind, small_powerlaw, "batched").sample_children(
-            vs, 6, rng
-        )
-        want, wp = _sampler(kind, small_powerlaw, "reference").sample_children(
-            vs, 6, rng
-        )
+        sampler = _sampler(kind, small_powerlaw)
+        got, gp = sampler.sample_children(vs, 6, rng)
+        want, wp = oracles.Reference(sampler).sample_children(vs, 6, rng)
         assert np.array_equal(got, want)
         assert np.array_equal(gp, wp)
 
@@ -204,36 +228,31 @@ class TestSampleChildren:
         degrees = small_powerlaw.out_degrees()
         parents = np.argsort(degrees)[-12:].astype(np.int64)
         counts = {}
-        for seed, backend in ((1, "batched"), (2, "reference")):
-            sampler = _sampler(kind, small_powerlaw, backend)
+        sampler = _sampler(kind, small_powerlaw)
+        for seed, impl in ((1, sampler), (2, oracles.Reference(sampler))):
             rng = make_rng(seed)
             acc = np.zeros(
                 (parents.size, small_powerlaw.n_vertices), dtype=np.int64
             )
             for _ in range(300):
-                children, _ = sampler.sample_children(parents, 8, rng)
+                children, _ = impl.sample_children(parents, 8, rng)
                 for i, kids in enumerate(children):
                     acc[i] += np.bincount(
                         kids, minlength=small_powerlaw.n_vertices
                     )
-            counts[backend] = acc.ravel()
-        _, p = chi_square_homogeneity(counts["batched"], counts["reference"])
-        assert p > P_FLOOR, f"{kind} backends diverge (p={p:.2e})"
+            counts[seed] = acc.ravel()
+        _, p = chi_square_homogeneity(counts[1], counts[2])
+        assert p > P_FLOOR, f"{kind} kernel diverges from the oracle (p={p:.2e})"
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_same_seed_determinism(self, small_powerlaw, kind):
         vs = np.array([3, 14, 15, 92, 653], dtype=np.int64)
-        a, _ = _sampler(kind, small_powerlaw, "batched").sample_children(
-            vs, 9, make_rng(99)
-        )
-        b, _ = _sampler(kind, small_powerlaw, "batched").sample_children(
-            vs, 9, make_rng(99)
-        )
+        a, _ = _sampler(kind, small_powerlaw).sample_children(vs, 9, make_rng(99))
+        b, _ = _sampler(kind, small_powerlaw).sample_children(vs, 9, make_rng(99))
         assert np.array_equal(a, b)
 
     def test_multi_hop_sample_uses_batched_kernels(self, small_powerlaw):
-        sampler = _sampler("uniform", small_powerlaw, "batched")
-        assert sampler.resolved_backend == "batched"
+        sampler = _sampler("uniform", small_powerlaw)
         out = sampler.sample(np.array([1, 2, 3]), [4, 2], make_rng(0))
         assert out.layers[1].size == 12 and out.layers[2].size == 24
         assert len(out.pad_masks) == 2
@@ -248,7 +267,7 @@ class TestSampleChildren:
             weights=np.array([1.0, 1.0]),
             directed=True,
         )
-        sampler = UniformNeighborSampler(GraphProvider(g), backend="batched")
+        sampler = UniformNeighborSampler(GraphProvider(g))
         children, pad = sampler.sample_children(
             np.array([0, 1]), 3, make_rng(0)
         )
@@ -256,9 +275,7 @@ class TestSampleChildren:
         assert np.all(children[1] == 0) and not np.any(pad[1])
 
     def test_weight_update_moves_batched_distribution(self, tiny_graph):
-        sampler = WeightedNeighborSampler(
-            GraphProvider(tiny_graph), backend="batched"
-        )
+        sampler = WeightedNeighborSampler(GraphProvider(tiny_graph))
         rng = make_rng(5)
         sampler.sample_children(np.array([0]), 4, rng)  # builds the table
         # Push vertex 0's mass almost entirely onto neighbor 2.
@@ -266,9 +283,18 @@ class TestSampleChildren:
         children, _ = sampler.sample_children(np.array([0]), 400, rng)
         assert np.mean(children == 2) > 0.97
 
-    def test_invalid_backend_rejected(self, tiny_graph):
-        with pytest.raises(SamplingError):
-            UniformNeighborSampler(GraphProvider(tiny_graph), backend="turbo")
+    def test_weight_update_applies_to_store_adjacency(self, tiny_graph):
+        from repro.sampling import StoreProvider
+
+        sampler = WeightedNeighborSampler(StoreProvider(_store(tiny_graph), 1))
+        rng = make_rng(5)
+        frontier = np.array([4, 0, 0], dtype=np.int64)
+        sampler.sample_children(frontier, 4, rng)
+        # Each hop rebuilds the table over fresh store rows, overrides applied.
+        sampler.backward(0, np.array([-5.0, 5.0]), lr=1.0)
+        children, _ = sampler.sample_children(frontier, 400, rng)
+        assert np.mean(children[1:] == 2) > 0.97
+        assert 0.35 < np.mean(children[0] == 5) < 0.65  # untouched: uniform
 
 
 # --------------------------------------------------------------------- #
@@ -280,7 +306,7 @@ class TestDynamicRefresh:
 
         def run():
             provider = dyn.provider(0)
-            sampler = UniformNeighborSampler(provider, backend="batched")
+            sampler = UniformNeighborSampler(provider)
             seeds = np.arange(48, dtype=np.int64)
             before = sampler.sample(seeds, [6, 3], make_rng(3))
             provider.advance(2)
@@ -299,13 +325,29 @@ class TestDynamicRefresh:
                 assert int(c) in nbrs or int(c) == int(v)
 
     def test_refresh_csr_forces_rebuild(self, tiny_graph):
-        sampler = UniformNeighborSampler(
-            GraphProvider(tiny_graph), backend="batched"
-        )
-        first = sampler.csr()
-        assert sampler.csr() is first  # cached
-        sampler.refresh_csr()
-        assert sampler.csr() is not first
+        provider = GraphProvider(tiny_graph)
+        first, rows = provider.adjacency(np.array([4, 1]))
+        assert np.array_equal(rows, [4, 1])  # global snapshot: row == vertex
+        assert provider.adjacency(np.array([0]))[0] is first  # cached
+        provider.version += 1
+        assert provider.adjacency(np.array([0]))[0] is not first
+
+    def test_alias_table_follows_snapshot(self):
+        dyn = dynamic_taobao(n_vertices=200, n_timestamps=3, seed=1)
+        provider = dyn.provider(0)
+        sampler = WeightedNeighborSampler(provider)
+        seeds = np.arange(32, dtype=np.int64)
+        sampler.sample_children(seeds, 4, make_rng(0))
+        table = sampler._table
+        sampler.sample_children(seeds, 4, make_rng(0))
+        assert sampler._table is table  # same snapshot: table reused
+        provider.advance(2)
+        kids, _ = sampler.sample_children(seeds, 4, make_rng(0))
+        assert sampler._table is not table
+        g2 = dyn.snapshot(2)
+        for v, row in zip(seeds, kids):
+            nbrs = set(g2.out_neighbors(int(v)).tolist()) or {int(v)}
+            assert set(row.tolist()) <= nbrs
 
 
 # --------------------------------------------------------------------- #
@@ -314,9 +356,7 @@ class TestDynamicRefresh:
 class TestBatchedNegativesAndWalks:
     def test_strict_negatives_avoid_true_edges(self, small_powerlaw):
         anchors = np.argsort(small_powerlaw.out_degrees())[-8:].astype(np.int64)
-        sampler = UniformNegativeSampler(
-            small_powerlaw, strict=True, backend="batched"
-        )
+        sampler = UniformNegativeSampler(small_powerlaw, strict=True)
         out = sampler.sample(anchors, 32, make_rng(2))
         for anchor, row in zip(anchors, out):
             forbidden = set(
@@ -331,25 +371,25 @@ class TestBatchedNegativesAndWalks:
     def test_strict_backends_distributionally_equivalent(self, small_powerlaw):
         anchors = np.array([3, 14, 15], dtype=np.int64)
         counts = {}
-        for seed, backend in ((4, "batched"), (5, "reference")):
-            sampler = DegreeBiasedNegativeSampler(
-                small_powerlaw, strict=True, backend=backend
-            )
+        sampler = DegreeBiasedNegativeSampler(small_powerlaw, strict=True)
+        draws = {
+            4: sampler.sample,
+            5: lambda a, k, r: oracles.strict_negatives(sampler, a, k, r),
+        }
+        for seed, draw in draws.items():
             acc = np.zeros(small_powerlaw.n_vertices, dtype=np.int64)
             rng = make_rng(seed)
             for _ in range(60):
                 acc += np.bincount(
-                    sampler.sample(anchors, 40, rng).ravel(),
+                    draw(anchors, 40, rng).ravel(),
                     minlength=small_powerlaw.n_vertices,
                 )
-            counts[backend] = acc
-        _, p = chi_square_homogeneity(counts["batched"], counts["reference"])
+            counts[seed] = acc
+        _, p = chi_square_homogeneity(counts[4], counts[5])
         assert p > P_FLOOR
 
     def test_batched_walks_follow_edges_and_truncate(self, tiny_graph):
-        walks = random_walks(
-            tiny_graph, np.array([0, 1, 5]), 6, make_rng(1), backend="batched"
-        )
+        walks = random_walks(tiny_graph, np.array([0, 1, 5]), 6, make_rng(1))
         assert len(walks) == 3
         assert walks[2].tolist() == [5]  # sink start: truncated immediately
         for walk in walks:
@@ -371,7 +411,6 @@ class TestBatchedNegativesAndWalks:
                     1,
                     make_rng(seed),
                     weighted=True,
-                    backend="batched",
                 )[0][1]
             )
             for seed in range(300)
@@ -382,43 +421,22 @@ class TestBatchedNegativesAndWalks:
     def test_walk_backends_step_distribution_match(self, small_powerlaw):
         start = int(np.argmax(small_powerlaw.out_degrees()))
         counts = {}
-        for seed, backend in ((8, "batched"), (9, "reference")):
+        for seed, walker in ((8, random_walks), (9, oracles.random_walks)):
             rng = make_rng(seed)
             acc = np.zeros(small_powerlaw.n_vertices, dtype=np.int64)
             for _ in range(800):
-                walk = random_walks(
-                    small_powerlaw, np.array([start]), 1, rng, backend=backend
-                )[0]
+                walk = walker(small_powerlaw, np.array([start]), 1, rng)[0]
                 if walk.size > 1:
                     acc[int(walk[1])] += 1
-            counts[backend] = acc
-        _, p = chi_square_homogeneity(counts["batched"], counts["reference"])
+            counts[seed] = acc
+        _, p = chi_square_homogeneity(counts[8], counts[9])
         assert p > P_FLOOR
 
 
 # --------------------------------------------------------------------- #
-# Providers and auto backend
+# Providers and statistics helpers
 # --------------------------------------------------------------------- #
 class TestBackendSelection:
-    def test_auto_is_batched_on_graph_provider(self, tiny_graph):
-        sampler = UniformNeighborSampler(GraphProvider(tiny_graph))
-        assert sampler.resolved_backend == "batched"
-
-    def test_auto_is_reference_on_store_provider(self, small_powerlaw):
-        from repro.runtime import RpcRuntime
-        from repro.sampling import StoreProvider
-        from repro.storage.cluster import make_store
-
-        store = make_store(small_powerlaw, 2, seed=0)
-        store.attach_runtime(RpcRuntime(store))
-        provider = StoreProvider(store, from_part=0)
-        sampler = UniformNeighborSampler(provider)
-        assert sampler.resolved_backend == "reference"
-        # Explicit opt-in pays one bulk snapshot and then runs batched.
-        batched = UniformNeighborSampler(provider, backend="batched")
-        out = batched.sample(np.array([1, 2, 3]), [4], make_rng(0))
-        assert out.layers[1].size == 12
-
     def test_zipf_probs_normalized_and_monotone(self):
         probs = zipf_probs(50, exponent=1.2)
         assert probs.shape == (50,)
@@ -458,8 +476,12 @@ class TestBackendSelection:
     def test_snapshot_provider_exposes_versioned_csr(self):
         dyn = dynamic_taobao(n_vertices=200, n_timestamps=3, seed=1)
         provider = SnapshotProvider(dyn, 0)
-        assert provider.csr_cost_free and provider.version == 0
+        assert provider.version == 0
+        first, _ = provider.adjacency(np.array([0]))
         provider.advance(1)
         assert provider.version == 1
+        second, _ = provider.adjacency(np.array([0]))
+        assert second is not first
         provider.advance(1)  # no-op
         assert provider.version == 1
+        assert provider.adjacency(np.array([0]))[0] is second

@@ -145,6 +145,52 @@ def test_store_provider_accounts(small_powerlaw):
     assert provider.n_vertices == small_powerlaw.n_vertices
 
 
+def _store_with_runtime(graph):
+    from repro.runtime import RpcRuntime
+    from repro.storage.cluster import make_store
+
+    store = make_store(graph, 4, seed=0)
+    store.attach_runtime(RpcRuntime(store))
+    return store
+
+
+def test_store_sampler_sees_removed_edges(small_powerlaw, rng):
+    # Regression: a store-backed sampler once drew from a whole-graph
+    # snapshot taken at its first draw, so it kept drawing edges the store
+    # had since removed.
+    from repro.graph.dynamic import EdgeEvent
+
+    store = _store_with_runtime(small_powerlaw)
+    sampler = UniformNeighborSampler(StoreProvider(store, from_part=0))
+    v = int(np.argmax(small_powerlaw.out_degrees()))
+    before = sampler.sample(np.array([v, v]), [4], rng)
+    assert not np.any(before.pad_masks[0])
+    store.apply_edge_events(
+        [EdgeEvent(0, v, int(u), "remove") for u in small_powerlaw.out_neighbors(v)]
+    )
+    assert store.neighbors(v, from_part=0).size == 0
+    children, pad = sampler.sample_children(np.array([v, v]), 4, rng)
+    assert np.all(children == v) and np.all(pad)
+
+
+def test_store_provider_neighbors_sees_added_edge(small_powerlaw, rng):
+    # Regression: after a hop, StoreProvider.neighbors served the hop's
+    # buffered row, so a later edge addition was invisible to it.
+    from repro.graph.dynamic import EdgeEvent
+
+    store = _store_with_runtime(small_powerlaw)
+    provider = StoreProvider(store, from_part=0)
+    v = int(np.argmax(small_powerlaw.out_degrees()))
+    UniformNeighborSampler(provider).sample(np.array([v]), [3], rng)
+    new = next(
+        u for u in range(small_powerlaw.n_vertices)
+        if u != v and u not in set(small_powerlaw.out_neighbors(v).tolist())
+    )
+    store.apply_edge_events([EdgeEvent(0, v, new, "add")])
+    assert new in provider.neighbors(v).tolist()
+    assert new in store.neighbors(v, from_part=0).tolist()
+
+
 def test_store_provider_weights_uniform(small_powerlaw):
     from repro.storage.cluster import make_store
 
